@@ -10,23 +10,20 @@
 
 from __future__ import annotations
 
-from repro.experiments.ablations import (
-    run_backtrack_depth_ablation,
-    run_byzantine_experiment,
-    run_exponent_ablation,
-    run_replacement_ablation,
+from repro.scenarios import run
+from repro.scenarios.library import (
+    ablation_backtrack_spec,
+    ablation_exponent_spec,
+    ablation_replacement_spec,
+    byzantine_spec,
 )
 
 
 def test_ablation_replacement_policy(benchmark, paper_scale):
     """Section-5 ablation: link-replacement policies."""
     nodes = (1 << 13) if paper_scale else (1 << 10)
-    table = benchmark.pedantic(
-        run_replacement_ablation,
-        kwargs={"nodes": nodes, "networks": 2, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
+    spec = ablation_replacement_spec(nodes=nodes, networks=2, seed=0)
+    table = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
     print()
     print(table.to_text())
     errors = dict(zip(table.column("policy"), table.column("max_absolute_error")))
@@ -42,12 +39,10 @@ def test_ablation_backtrack_depth(benchmark, paper_scale):
     """Backtracking-depth sweep at 50% failed nodes."""
     nodes = (1 << 14) if paper_scale else (1 << 12)
     searches = 1000 if paper_scale else 300
-    table = benchmark.pedantic(
-        run_backtrack_depth_ablation,
-        kwargs={"nodes": nodes, "failure_level": 0.5, "searches": searches, "seed": 1},
-        rounds=1,
-        iterations=1,
+    spec = ablation_backtrack_spec(
+        nodes=nodes, failure_level=0.5, searches=searches, seed=1
     )
+    table = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
     print()
     print(table.to_text())
     depths = table.column("backtrack_depth")
@@ -63,13 +58,10 @@ def test_ablation_exponent(benchmark, paper_scale):
     """Power-law exponent sweep: exponent 1 is the right choice on the line."""
     nodes = (1 << 14) if paper_scale else (1 << 12)
     searches = 800 if paper_scale else 300
-    table = benchmark.pedantic(
-        run_exponent_ablation,
-        kwargs={"nodes": nodes, "exponents": [0.0, 0.5, 1.0, 1.5, 2.0],
-                "searches": searches, "seed": 2},
-        rounds=1,
-        iterations=1,
+    spec = ablation_exponent_spec(
+        nodes=nodes, exponents=[0.0, 0.5, 1.0, 1.5, 2.0], searches=searches, seed=2
     )
+    table = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
     print()
     print(table.to_text())
     exponents = table.column("exponent")
@@ -85,13 +77,11 @@ def test_extension_byzantine_routing(benchmark, paper_scale):
     """Section-7 extension: redundant routing under Byzantine drop faults."""
     nodes = (1 << 12) if paper_scale else (1 << 11)
     searches = 500 if paper_scale else 150
-    table = benchmark.pedantic(
-        run_byzantine_experiment,
-        kwargs={"nodes": nodes, "fractions": [0.0, 0.1, 0.2, 0.3],
-                "redundancy": 3, "searches": searches, "seed": 3},
-        rounds=1,
-        iterations=1,
+    spec = byzantine_spec(
+        nodes=nodes, fractions=[0.0, 0.1, 0.2, 0.3], redundancy=3,
+        searches=searches, seed=3,
     )
+    table = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
     print()
     print(table.to_text())
     plain = table.column("plain_failed_fraction")

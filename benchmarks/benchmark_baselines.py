@@ -35,7 +35,8 @@ if __name__ == "__main__":  # direct execution from a clean checkout
 
 import numpy as np
 
-from repro.experiments.baseline_comparison import run_baseline_comparison
+from repro.scenarios import run
+from repro.scenarios.library import baselines_spec
 from repro.telemetry import (
     SECONDS_BUCKETS,
     current as telemetry_current,
@@ -189,7 +190,6 @@ def write_baselines_artifact(
     """Write the per-protocol engine comparison as BENCH_baselines.json."""
     from repro.experiments.runner import ExperimentTable
     from repro.scenarios import RunResult
-    from repro.scenarios.library import baselines_spec
 
     if path is None:
         path = Path(__file__).resolve().parent.parent / "BENCH_baselines.json"
@@ -255,12 +255,8 @@ def test_baseline_comparison(benchmark, paper_scale):
     bits = 14 if paper_scale else 10
     searches = 1000 if paper_scale else 200
 
-    table = benchmark.pedantic(
-        run_baseline_comparison,
-        kwargs={"bits": bits, "searches": searches, "failure_level": 0.3, "seed": 4},
-        rounds=1,
-        iterations=1,
-    )
+    spec = baselines_spec(bits=bits, searches=searches, failure_level=0.3, seed=4)
+    table = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
     print()
     print(table.to_text())
 

@@ -9,7 +9,8 @@ scale), and delivery time grows moderately with p (roughly 9 -> 17 hops).
 
 from __future__ import annotations
 
-from repro.experiments.figure6 import run_figure6
+from repro.scenarios import run
+from repro.scenarios.library import figure6_spec
 
 
 def test_figure6_failure_recovery(benchmark, paper_scale):
@@ -18,17 +19,10 @@ def test_figure6_failure_recovery(benchmark, paper_scale):
     searches = 2000 if paper_scale else 250
     levels = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
 
-    result = benchmark.pedantic(
-        run_figure6,
-        kwargs={
-            "nodes": nodes,
-            "searches_per_point": searches,
-            "failure_levels": levels,
-            "seed": 1,
-        },
-        rounds=1,
-        iterations=1,
+    spec = figure6_spec(
+        nodes=nodes, searches_per_point=searches, failure_levels=levels, seed=1
     )
+    result = benchmark.pedantic(run, args=(spec,), rounds=1, iterations=1).raw
 
     table_a, table_b = result.to_tables()
     print()

@@ -17,20 +17,20 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
+from repro.scenarios import run
+from repro.scenarios.library import figure6_spec, figure7_spec
 
 
 def main() -> None:
     print("=" * 72)
     print("Figure 6 (scaled down): 4096 nodes, 300 searches per failure level")
     print("=" * 72)
-    figure6 = run_figure6(
+    figure6 = run(figure6_spec(
         nodes=1 << 12,
         searches_per_point=300,
         failure_levels=[0.0, 0.2, 0.4, 0.6, 0.8],
         seed=11,
-    )
+    )).raw
     table_a, table_b = figure6.to_tables()
     print(table_a.to_text())
     print()
@@ -40,13 +40,13 @@ def main() -> None:
     print("=" * 72)
     print("Figure 7 (scaled down): 2048 nodes, constructed vs ideal network")
     print("=" * 72)
-    figure7 = run_figure7(
+    figure7 = run(figure7_spec(
         nodes=1 << 11,
         iterations=2,
         searches_per_point=200,
         failure_levels=[0.0, 0.3, 0.6, 0.9],
         seed=12,
-    )
+    )).raw
     print(figure7.to_table().to_text())
 
     print()

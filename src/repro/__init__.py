@@ -16,7 +16,7 @@ Systems* (Aspnes, Diamadi, Shah; PODC 2002).  The library provides:
   ``ScenarioSpec`` records, the ``@register_scenario`` registry, the single
   ``run(spec) -> RunResult`` entrypoint, and the parallel ``Sweep`` executor.
 * ``repro.experiments`` — the measurement implementations behind the
-  scenarios (the legacy ``run_*`` entry points remain as deprecation shims).
+  scenarios, reached only through ``repro.scenarios``.
 
 Quickstart
 ----------

@@ -31,38 +31,6 @@ from repro.experiments.figure5 import _run_figure5_impl
 from repro.experiments.runner import ExperimentTable
 from repro.simulation.workload import LookupWorkload
 
-__all__ = [
-    "run_replacement_ablation",
-    "run_backtrack_depth_ablation",
-    "run_exponent_ablation",
-    "run_byzantine_experiment",
-]
-
-
-def run_replacement_ablation(
-    nodes: int = 1 << 10,
-    links_per_node: int | None = None,
-    networks: int = 3,
-    seed: int = 0,
-) -> ExperimentTable:
-    """Compare link-replacement policies by distribution error (Section 5 ablation).
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"ablation-replacement"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import ablation_replacement_spec
-
-    spec = ablation_replacement_spec(
-        nodes=nodes, links_per_node=links_per_node, networks=networks, seed=seed
-    )
-    return run(spec).raw
-
-
 def _run_replacement_ablation_impl(
     nodes: int = 1 << 10,
     links_per_node: int | None = None,
@@ -90,35 +58,6 @@ def _run_replacement_ablation_impl(
         )
         table.add_row(name, result.max_absolute_error, result.total_variation)
     return table
-
-
-def run_backtrack_depth_ablation(
-    nodes: int = 1 << 12,
-    depths: list[int] | None = None,
-    failure_level: float = 0.5,
-    searches: int = 300,
-    seed: int = 0,
-) -> ExperimentTable:
-    """Sweep the backtracking history depth (the paper fixes it at 5).
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"ablation-backtrack"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import ablation_backtrack_spec
-
-    spec = ablation_backtrack_spec(
-        nodes=nodes,
-        depths=depths,
-        failure_level=failure_level,
-        searches=searches,
-        seed=seed,
-    )
-    return run(spec).raw
 
 
 def _run_backtrack_depth_ablation_impl(
@@ -164,30 +103,6 @@ def _run_backtrack_depth_ablation_impl(
     return table
 
 
-def run_exponent_ablation(
-    nodes: int = 1 << 12,
-    exponents: list[float] | None = None,
-    searches: int = 300,
-    seed: int = 0,
-) -> ExperimentTable:
-    """Sweep the power-law exponent; exponent 1 should minimise hops on the line.
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"ablation-exponent"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import ablation_exponent_spec
-
-    spec = ablation_exponent_spec(
-        nodes=nodes, exponents=exponents, searches=searches, seed=seed
-    )
-    return run(spec).raw
-
-
 def _run_exponent_ablation_impl(
     nodes: int = 1 << 12,
     exponents: list[float] | None = None,
@@ -219,37 +134,6 @@ def _run_exponent_ablation_impl(
             exponent, float(np.mean(hops)) if hops else 0.0, failures / len(pairs)
         )
     return table
-
-
-def run_byzantine_experiment(
-    nodes: int = 1 << 11,
-    fractions: list[float] | None = None,
-    behavior: str = ByzantineBehavior.DROP,
-    redundancy: int = 3,
-    searches: int = 200,
-    seed: int = 0,
-) -> ExperimentTable:
-    """Failed searches vs fraction of Byzantine nodes, plain vs redundant routing.
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"byzantine"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import byzantine_spec
-
-    spec = byzantine_spec(
-        nodes=nodes,
-        fractions=fractions,
-        behavior=behavior,
-        redundancy=redundancy,
-        searches=searches,
-        seed=seed,
-    )
-    return run(spec).raw
 
 
 def _run_byzantine_experiment_impl(

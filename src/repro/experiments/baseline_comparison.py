@@ -32,9 +32,6 @@ from repro.experiments.runner import ExperimentTable, route_pairs_with_engine
 from repro.overlay import PROTOCOLS, Overlay
 from repro.simulation.workload import LookupWorkload
 
-__all__ = ["run_baseline_comparison"]
-
-
 def _measure(
     overlay: Overlay, searches: int, seed: int, engine: str
 ) -> tuple[float, float]:
@@ -65,42 +62,10 @@ def _measure(
     return (float(np.mean(hops)) if hops else 0.0), failures / len(pairs)
 
 
-def run_baseline_comparison(
-    bits: int = 10,
-    searches: int = 200,
-    failure_level: float = 0.3,
-    seed: int = 0,
-    engine: str = "object",
-    protocol: str = "",
-) -> ExperimentTable:
-    """Compare all systems at ``n = 2^bits`` nodes (grids use the nearest square).
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"baselines"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import baselines_spec
-
-    spec = baselines_spec(
-        bits=bits,
-        searches=searches,
-        failure_level=failure_level,
-        seed=seed,
-        engine=engine,
-        protocol=protocol,
-    )
-    return run(spec).raw
-
-
 def _power_law_row(n, searches, failure_level, seed, engine):
     """This paper's overlay (inverse power-law, lg n links, backtracking)."""
     build = build_ideal_network(n, seed=seed)
     graph = build.graph
-    engines_used = set()
 
     def measure(workload_seed):
         pairs = LookupWorkload(seed=workload_seed).pairs(
@@ -110,7 +75,6 @@ def _power_law_row(n, searches, failure_level, seed, engine):
             graph, pairs, engine=engine,
             recovery=RecoveryStrategy.BACKTRACK, seed=seed,
         )
-        engines_used.add(outcome.engine_used)
         mean_hops = float(np.mean(outcome.hops)) if outcome.hops else 0.0
         return mean_hops, outcome.failures / len(pairs)
 
@@ -119,11 +83,10 @@ def _power_law_row(n, searches, failure_level, seed, engine):
     failure_model.apply(graph)
     failed = measure(seed + 3)
     failure_model.repair(graph)
-    row = (
+    return (
         "this-paper (power-law + backtrack)", n, build.links_per_node + 2,
         healthy[0], healthy[1], failed[0], failed[1],
     )
-    return row, engines_used
 
 
 def _overlay_row(system, name, state, searches, failure_level, seed_block, engine):
@@ -139,8 +102,7 @@ def _overlay_row(system, name, state, searches, failure_level, seed_block, engin
     failed = _measure(system, searches, seed_block + 3, engine)
     system.repair()
     nodes = len(system.labels(only_alive=False))
-    row = (name, nodes, state, healthy[0], healthy[1], failed[0], failed[1])
-    return row, {engine}
+    return (name, nodes, state, healthy[0], healthy[1], failed[0], failed[1])
 
 
 def _run_baseline_comparison_impl(
@@ -150,15 +112,14 @@ def _run_baseline_comparison_impl(
     seed: int = 0,
     engine: str = "object",
     protocol: str = "",
-) -> tuple[ExperimentTable, set[str]]:
+) -> ExperimentTable:
     """The baseline comparison (executed via the ``"baselines"`` scenario).
 
     Each system is measured twice: on the intact network and after failing
     ``failure_level`` of its nodes uniformly at random (without running any
     repair protocol, as in the paper's experiments).  ``protocol`` restricts
     the run to one overlay family (one of :data:`repro.overlay.PROTOCOLS`);
-    ``""``/``"all"`` measures all five.  Returns the result table and the set
-    of engines that actually routed.
+    ``""``/``"all"`` measures all five.
     """
     n = 1 << bits
     side = int(round(math.sqrt(n)))
@@ -213,9 +174,6 @@ def _run_baseline_comparison_impl(
         "plaxton": plaxton_row,
     }
     selected = PROTOCOLS if protocol in ("", "all") else (protocol,)
-    engines_used: set[str] = set()
     for name in selected:
-        row, used = builders[name]()
-        table.add_row(*row)
-        engines_used |= used
-    return table, engines_used
+        table.add_row(*builders[name]())
+    return table

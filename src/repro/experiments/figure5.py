@@ -7,10 +7,10 @@ with exponent 1.  Figure 5(a) overlays the two distributions (log-log);
 Figure 5(b) plots the absolute error, whose largest magnitude is roughly
 0.022 at length 2.
 
-``run_figure5`` reproduces both panels as numeric series.  The default
-parameters are scaled down (2^11 nodes, 5 networks) so the experiment runs in
-seconds; pass ``nodes=1 << 14, links_per_node=14, networks=10`` for the
-paper-scale run.
+The ``figure5`` scenario reproduces both panels as numeric series.  The
+default parameters are scaled down (2^11 nodes, 5 networks) so the experiment
+runs in seconds; set ``topology.nodes=16384``, ``topology.links_per_node=14``
+and ``workload.networks=10`` for the paper-scale run.
 
 Unlike the routing experiments (figure6/figure7/table1), Figure 5 measures
 the *construction* heuristic only — no queries are routed — so it has no
@@ -33,7 +33,7 @@ from repro.core.construction import (
 from repro.core.distributions import InversePowerLawDistribution
 from repro.experiments.runner import ExperimentTable
 
-__all__ = ["Figure5Result", "run_figure5", "empirical_link_distribution"]
+__all__ = ["Figure5Result", "empirical_link_distribution"]
 
 
 @dataclass
@@ -98,59 +98,6 @@ def empirical_link_distribution(lengths: list[int], n: int) -> np.ndarray:
     if total > 0:
         histogram /= total
     return histogram
-
-
-def run_figure5(
-    nodes: int = 1 << 11,
-    links_per_node: int | None = None,
-    networks: int = 5,
-    replacement_policy: LinkReplacementPolicy | None = None,
-    seed: int = 0,
-) -> Figure5Result:
-    """Reproduce Figure 5(a)/(b).
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"figure5"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-
-    Parameters
-    ----------
-    nodes:
-        Number of nodes (the paper uses 2^14).
-    links_per_node:
-        Long links per node (the paper uses 14; default ``ceil(lg nodes)``).
-    networks:
-        Number of independently constructed networks to average (paper: 10).
-    replacement_policy:
-        Link-replacement rule (default: the paper's inverse-distance rule).
-    seed:
-        Base seed; network ``i`` uses ``seed + i``.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import figure5_spec, policy_name
-
-    name = policy_name(replacement_policy)
-    if name is None:
-        # A custom policy object cannot be expressed as declarative spec
-        # data; run the implementation directly.
-        return _run_figure5_impl(
-            nodes=nodes,
-            links_per_node=links_per_node,
-            networks=networks,
-            replacement_policy=replacement_policy,
-            seed=seed,
-        )
-    spec = figure5_spec(
-        nodes=nodes,
-        links_per_node=links_per_node,
-        networks=networks,
-        replacement_policy=name,
-        seed=seed,
-    )
-    return run(spec).raw
 
 
 def _run_figure5_impl(

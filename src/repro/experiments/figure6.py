@@ -6,7 +6,7 @@ source/destination pairs.  Figure 6(a) plots the fraction of failed searches
 and Figure 6(b) the average delivery time of successful searches, for the
 three recovery strategies: terminate, random re-route, and backtracking.
 
-Expected qualitative shape (what ``run_figure6`` should show):
+Expected qualitative shape (what the ``figure6`` scenario should show):
 
 * the terminate strategy loses roughly (slightly fewer than) ``p`` of its
   searches;
@@ -16,8 +16,9 @@ Expected qualitative shape (what ``run_figure6`` should show):
   longer average delivery time;
 * delivery time grows only moderately with ``p`` for all strategies.
 
-Defaults are scaled down (2^12 nodes, 200 searches per point); pass
-``nodes=1 << 17, searches_per_point=100_000`` for a paper-scale run.  With
+Defaults are scaled down (2^12 nodes, 200 searches per point); run
+``repro run figure6 --engine fastpath --set topology.nodes=131072 --set
+workload.searches=100000`` for a paper-scale run.  With
 ``engine="fastpath"`` the whole experiment is array-native: the network is
 built straight into a CSR snapshot (:func:`repro.fastpath.build_snapshot`),
 failures are bulk mask operations, and **all three** strategies route on the
@@ -39,7 +40,7 @@ from repro.fastpath import cached_build_snapshot, sample_node_failures
 from repro.simulation.workload import LookupWorkload
 from repro.util.rng import derive_seed
 
-__all__ = ["Figure6Result", "run_figure6", "DEFAULT_STRATEGIES"]
+__all__ = ["Figure6Result", "DEFAULT_STRATEGIES"]
 
 DEFAULT_STRATEGIES = (
     RecoveryStrategy.TERMINATE,
@@ -76,44 +77,6 @@ class Figure6Result:
             table_a.add_row(level, *[self.failed_fraction[s][index] for s in strategies])
             table_b.add_row(level, *[self.mean_hops[s][index] for s in strategies])
         return table_a, table_b
-
-
-def run_figure6(
-    nodes: int = 1 << 12,
-    links_per_node: int | None = None,
-    failure_levels: list[float] | None = None,
-    searches_per_point: int = 200,
-    strategies=DEFAULT_STRATEGIES,
-    seed: int = 0,
-    engine: str = "object",
-) -> Figure6Result:
-    """Reproduce Figure 6(a)/(b).
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"figure6"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-
-    With ``engine="fastpath"`` every strategy — terminate, random re-route,
-    and backtracking — runs on the batched array engine over a direct-built
-    snapshot, with statistics identical to the object engine at the same
-    seed and far higher throughput at scale.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import figure6_spec
-
-    spec = figure6_spec(
-        nodes=nodes,
-        links_per_node=links_per_node,
-        failure_levels=failure_levels,
-        searches_per_point=searches_per_point,
-        strategies=tuple(strategy.value for strategy in strategies),
-        seed=seed,
-        engine=engine,
-    )
-    return run(spec).raw
 
 
 def _run_figure6_impl(
@@ -160,8 +123,6 @@ def _run_figure6_impl(
             "engine": engine,
         },
     )
-    # Per-strategy, per-level record of the engine that actually routed.
-    engines_used: dict[str, list[str]] = {s.value: [] for s in strategies}
 
     for level_index, level in enumerate(failure_levels):
         build_seed = derive_seed(seed, "figure6", "build", level_index)
@@ -203,19 +164,9 @@ def _run_figure6_impl(
                 seed=route_seed,
                 snapshot=snapshot,
             )
-            engines_used[strategy.value].append(outcome.engine_used)
             result.failed_fraction[strategy.value].append(outcome.failures / len(pairs))
             result.mean_hops[strategy.value].append(
                 float(np.mean(outcome.hops)) if outcome.hops else 0.0
             )
 
-    # ``engine_used`` keeps the strategy -> engine summary shape; a strategy
-    # routed by different engines at different levels shows up as e.g.
-    # "fastpath+object".  The raw per-level record rides along for sweeps
-    # that need to audit exactly which cells downgraded.
-    result.parameters["engines_used_per_level"] = engines_used
-    result.parameters["engine_used"] = {
-        strategy: "+".join(sorted(set(levels_used))) if levels_used else engine
-        for strategy, levels_used in engines_used.items()
-    }
     return result

@@ -7,8 +7,9 @@ redirects), fails a fraction of the nodes, and delivers 1000 messages between
 random live pairs.  Figure 7 plots the fraction of failed searches for both
 networks: the constructed network is somewhat worse but comparable.
 
-Defaults are scaled down (2^11 nodes, 2 iterations, 200 messages); pass
-``nodes=16384, iterations=10, searches_per_point=1000`` for paper scale.
+Defaults are scaled down (2^11 nodes, 2 iterations, 200 messages); set
+``topology.nodes=16384``, ``workload.iterations=10`` and
+``workload.searches=1000`` on the ``figure7`` scenario for paper scale.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from repro.core.construction import build_heuristic_network
 from repro.core.failures import NodeFailureModel, failure_sweep_levels
 from repro.core.routing import RecoveryStrategy
 from repro.experiments.runner import ExperimentTable, route_pairs_with_engine
-from repro.fastpath import cached_build_snapshot
+from repro.fastpath import cached_build_snapshot, compile_snapshot, sample_node_failures
 from repro.simulation.workload import LookupWorkload
 from repro.util.rng import derive_seed
 
-__all__ = ["Figure7Result", "run_figure7"]
+__all__ = ["Figure7Result"]
 
 
 @dataclass
@@ -51,46 +52,6 @@ class Figure7Result:
                 self.ideal_failed_fraction[index],
             )
         return table
-
-
-def run_figure7(
-    nodes: int = 1 << 11,
-    links_per_node: int | None = None,
-    failure_levels: list[float] | None = None,
-    searches_per_point: int = 200,
-    iterations: int = 2,
-    recovery: RecoveryStrategy = RecoveryStrategy.TERMINATE,
-    seed: int = 0,
-    engine: str = "object",
-) -> Figure7Result:
-    """Reproduce Figure 7.
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"figure7"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-
-    ``engine="fastpath"`` accelerates the whole sweep with identical
-    statistics for every recovery strategy: ideal networks are built straight
-    into CSR snapshots, constructed networks are compiled once per iteration,
-    and all routing runs batched.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import figure7_spec
-
-    spec = figure7_spec(
-        nodes=nodes,
-        links_per_node=links_per_node,
-        failure_levels=failure_levels,
-        searches_per_point=searches_per_point,
-        iterations=iterations,
-        recovery=recovery.value,
-        seed=seed,
-        engine=engine,
-    )
-    return run(spec).raw
 
 
 def _run_figure7_impl(
@@ -135,11 +96,7 @@ def _run_figure7_impl(
             "engine": engine,
         },
     )
-    from repro.fastpath import compile_snapshot, sample_node_failures, select_engine
-
-    resolved = select_engine(engine, recovery)
-    result.parameters["engine_used"] = resolved
-    fastpath = resolved == "fastpath"
+    fastpath = engine == "fastpath"
 
     # Build the networks once per iteration and reuse them across failure
     # levels (failures are repaired after each level), which matches the

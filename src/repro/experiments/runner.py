@@ -8,14 +8,12 @@ paper plots).
 The harness also owns the **engine switch**: every routing experiment accepts
 ``engine="object"`` (the scalar :class:`~repro.core.routing.GreedyRouter`,
 one Python hop at a time) or ``engine="fastpath"`` (the batched NumPy engine
-of :mod:`repro.fastpath`).  :func:`route_pairs_with_engine` is the single
-place that arbitrates between them: fastpath covers both routing modes and
-all three Section-6 recovery strategies, hop-for-hop identical to the object
-engine at the same seed.  The rare configurations still outside the fastpath
-envelope (a graph in a metric space the snapshot compiler cannot handle)
-fall back to the object engine so sweeps keep working, but the downgrade is
-not silent — the returned :class:`EngineRouteResult` records the engine
-actually used and a :class:`FastpathFallbackWarning` is emitted.
+of :mod:`repro.fastpath`).  :func:`route_pairs_with_engine` routes through
+exactly the engine requested: fastpath covers both routing modes and all
+three Section-6 recovery strategies, hop-for-hop identical to the object
+engine at the same seed, and a graph it cannot compile (one embedded in a
+metric space the snapshot compiler does not support) raises
+:class:`NotImplementedError` instead of being routed elsewhere.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Sequence
 
@@ -32,29 +29,12 @@ from repro.core.routing import GreedyRouter, RecoveryStrategy, RoutingMode
 __all__ = [
     "ExperimentTable",
     "EngineRouteResult",
-    "FastpathFallbackWarning",
     "format_table",
     "jsonify_value",
     "tables_to_csv",
     "route_sample",
     "route_pairs_with_engine",
 ]
-
-
-class FastpathFallbackWarning(RuntimeWarning):
-    """Emitted when a requested ``engine="fastpath"`` run is downgraded.
-
-    The fastpath engine implements all three recovery strategies, so the
-    remaining downgrade triggers are structural: a graph whose metric space
-    the snapshot compiler does not support, or a recovery configuration the
-    batch router rejects (e.g. a multi-detour re-route budget).  The fallback
-    still happens (sweeps must not fail half-way), but it is observable: this
-    warning fires and :class:`EngineRouteResult.engine_used` reports
-    ``"object"``.  Experiments that pre-resolve their engine (e.g.
-    :func:`repro.experiments.figure6.run_figure6`) do so once up front, so
-    the warning is emitted at most once per experiment rather than once per
-    sweep cell.
-    """
 
 
 def jsonify_value(value: Any) -> Any:
@@ -209,17 +189,11 @@ def route_sample(graph, router, pairs) -> tuple[int, list[int]]:
 
 
 class EngineRouteResult(NamedTuple):
-    """Outcome of :func:`route_pairs_with_engine`.
-
-    ``failures`` and ``hops`` match the old ``(failures, hops)`` tuple;
-    ``engine_used`` records which engine actually routed the pairs — it can
-    differ from the requested engine when a fastpath request is downgraded
-    because the recovery strategy is unsupported.
-    """
+    """Outcome of :func:`route_pairs_with_engine`: the failure count and the
+    hop counts of the successful routes."""
 
     failures: int
     hops: list[int]
-    engine_used: str
 
 
 def route_pairs_with_engine(
@@ -234,11 +208,11 @@ def route_pairs_with_engine(
 ) -> EngineRouteResult:
     """Route every pair through the requested engine.
 
-    Returns an :class:`EngineRouteResult` ``(failures, hops_of_successes,
-    engine_used)`` regardless of engine, so experiment code is
-    engine-agnostic.  The two engines are hop-for-hop identical at the same
-    seed for every configuration they both support, including all three
-    recovery strategies.
+    Returns an :class:`EngineRouteResult` ``(failures, hops_of_successes)``
+    regardless of engine, so experiment code is engine-agnostic.  The two
+    engines are hop-for-hop identical at the same seed for every
+    configuration they both support, including all three recovery
+    strategies.
 
     Parameters
     ----------
@@ -250,10 +224,7 @@ def route_pairs_with_engine(
     pairs:
         Sequence of (source, target) label pairs.
     engine:
-        ``"object"`` or ``"fastpath"``.  A fastpath request whose graph
-        cannot be compiled into a snapshot falls back to the object engine;
-        the downgrade emits a :class:`FastpathFallbackWarning` and is
-        recorded in the returned ``engine_used`` field.
+        ``"object"`` or ``"fastpath"``.
     seed:
         Routing seed (the random re-route stream); both engines derive the
         same stream from it.
@@ -263,27 +234,28 @@ def route_pairs_with_engine(
         the graph is compiled once, not per strategy.  Ignored by the object
         engine.  The caller is responsible for the snapshot actually matching
         ``graph``'s current liveness.
-    """
-    from repro.fastpath import BatchGreedyRouter, compile_snapshot, select_engine
 
-    resolved = select_engine(engine, recovery)
+    Raises
+    ------
+    ValueError
+        If ``engine`` is unknown, or neither ``graph`` nor (for fastpath)
+        ``snapshot`` is given.
+    NotImplementedError
+        If ``engine="fastpath"`` and ``graph`` cannot be compiled into a
+        snapshot.
+    """
+    from repro.fastpath import ENGINES, BatchGreedyRouter, compile_snapshot
+
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if graph is None and snapshot is None:
         raise ValueError(
             "route_pairs_with_engine needs a graph or (for fastpath runs) a "
             "precompiled snapshot; got neither"
         )
-    if resolved == "fastpath" and snapshot is None:
-        try:
+    if engine == "fastpath":
+        if snapshot is None:
             snapshot = compile_snapshot(graph)
-        except NotImplementedError as error:
-            warnings.warn(
-                f"engine='fastpath' cannot compile this graph ({error}); "
-                "routing through the object engine instead",
-                FastpathFallbackWarning,
-                stacklevel=2,
-            )
-            resolved = "object"
-    if resolved == "fastpath":
         reroute_pool = None
         if recovery is RecoveryStrategy.RANDOM_REROUTE and graph is not None:
             # Detour draws index the scalar router's live-node list; hand the
@@ -300,7 +272,7 @@ def route_pairs_with_engine(
         )
         result = router.route_pairs(pairs)
         return EngineRouteResult(
-            result.failed_count(), result.hops[result.success].tolist(), resolved
+            result.failed_count(), result.hops[result.success].tolist()
         )
 
     if graph is None:
@@ -316,4 +288,4 @@ def route_pairs_with_engine(
         seed=seed,
     )
     failures, hops = route_sample(graph, router, pairs)
-    return EngineRouteResult(failures, hops, resolved)
+    return EngineRouteResult(failures, hops)

@@ -36,11 +36,10 @@ from repro.fastpath import (
     DeltaSnapshot,
     cached_build_snapshot,
     sample_node_failures,
-    select_engine,
 )
 from repro.simulation.workload import LookupWorkload
 
-__all__ = ["Table1Result", "run_table1", "measure_mean_hops"]
+__all__ = ["Table1Result", "measure_mean_hops"]
 
 
 def measure_mean_hops(
@@ -114,65 +113,6 @@ class Table1Result:
         return "\n\n".join(table.to_text() for table in self.tables())
 
 
-def run_table1(
-    sizes: list[int] | None = None,
-    link_counts: list[int] | None = None,
-    bases: list[int] | None = None,
-    probabilities: list[float] | None = None,
-    searches: int = 150,
-    seed: int = 0,
-    recovery: RecoveryStrategy = RecoveryStrategy.BACKTRACK,
-    engine: str = "object",
-) -> Table1Result:
-    """Measure delivery time for every Table-1 model.
-
-    .. deprecated::
-        This is a thin shim over the scenario API: it builds a
-        :class:`~repro.scenarios.ScenarioSpec` and delegates to
-        :func:`repro.scenarios.run` (scenario ``"table1"``), returning
-        identical numbers at a fixed seed.  New code should use the scenario
-        API directly — it adds JSON results, sweeps, and the CLI surface.
-
-    Parameters
-    ----------
-    sizes:
-        Network sizes for the scaling sweeps (default ``2^8 .. 2^12``).
-    link_counts:
-        Values of ``l`` for the polylog-links sweep.
-    bases:
-        Bases for the deterministic scheme.
-    probabilities:
-        Survival probabilities for the failure sweeps.
-    searches:
-        Searches per measurement point.
-    seed:
-        Base seed.
-    recovery:
-        Recovery strategy used by every measurement (the paper's default is
-        backtracking, the best-performing strategy).
-    engine:
-        ``"object"`` or ``"fastpath"``.  Fastpath accelerates every
-        measurement — including the default backtracking strategy — and the
-        ideal-network rows additionally skip the object graph entirely via
-        the direct-to-CSR build, with results identical to the object engine
-        at the same seed.
-    """
-    from repro.scenarios import run
-    from repro.scenarios.library import table1_spec
-
-    spec = table1_spec(
-        sizes=sizes,
-        link_counts=link_counts,
-        bases=bases,
-        probabilities=probabilities,
-        searches=searches,
-        seed=seed,
-        recovery=recovery.value,
-        engine=engine,
-    )
-    return run(spec).raw
-
-
 def _link_failure_sweep(
     graph,
     probabilities,
@@ -193,7 +133,7 @@ def _link_failure_sweep(
     are identical to the object engine at the same seed either way.
     """
     recorder = mirror = None
-    if select_engine(engine, recovery) == "fastpath":
+    if engine == "fastpath":
         recorder = DeltaRecorder.attach(graph)
         mirror = DeltaSnapshot.from_graph(graph)
     try:
@@ -384,6 +324,5 @@ def _run_table1_impl(
             "seed": seed,
             "recovery": recovery.value,
             "engine": engine,
-            "engine_used": select_engine(engine, recovery),
         },
     )

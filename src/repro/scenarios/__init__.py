@@ -17,8 +17,9 @@ as data instead of per-figure functions:
   parameter grid, derive a deterministic per-cell seed from the master seed
   (:mod:`repro.util.rng`), and fan cells out over a process pool — parallel
   sweeps are byte-identical to serial ones;
-* :mod:`repro.scenarios.library` — the built-in scenarios porting all seven
-  legacy experiments (``repro list`` shows them).
+* :mod:`repro.scenarios.library` — the built-in scenarios for every
+  experiment of the paper, and the typed ``*_spec`` builders for them
+  (``repro list`` shows them).
 
 Quickstart — run a registered scenario::
 

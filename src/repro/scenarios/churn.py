@@ -47,7 +47,6 @@ from repro.fastpath import (
     BatchGreedyRouter,
     DeltaRecorder,
     DeltaSnapshot,
-    select_engine,
 )
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.run import ScenarioOutcome
@@ -104,8 +103,8 @@ def run_churn_rounds(
     engine: str,
     latency_median: float = 1.0,
     latency_sigma: float = 0.4,
-) -> tuple[list[ChurnRound], str]:
-    """Run ``rounds`` churn rounds and measure each; return (rounds, engine used).
+) -> list[ChurnRound]:
+    """Run ``rounds`` churn rounds and measure each; return the rounds.
 
     One round = apply this round's scheduled join/leave/crash events, run a
     batched repair pass, then route ``searches`` uniform lookups between live
@@ -124,11 +123,10 @@ def run_churn_rounds(
         )
     graph = construction.graph
     daemon = MaintenanceDaemon(construction)
-    engine_used = select_engine(engine, recovery)
 
     recorder = mirror = batch_router = None
     route_seed = derive_seed(seed, "churn-route")
-    if engine_used == "fastpath":
+    if engine == "fastpath":
         recorder = DeltaRecorder.attach(graph)
         with tel.span("compile") if tel is not None else nullcontext():
             mirror = DeltaSnapshot.from_graph(graph)
@@ -136,7 +134,7 @@ def run_churn_rounds(
                 mirror.snapshot(), recovery=recovery, seed=route_seed
             )
     scalar_router = None
-    if engine_used == "object":
+    if engine == "object":
         scalar_router = GreedyRouter(graph, recovery=recovery, seed=route_seed)
 
     members = sorted(graph.labels())
@@ -176,7 +174,7 @@ def run_churn_rounds(
             if len(live) >= 2 and searches > 0:
                 pairs = lookups.pairs(live, searches)
                 success, hops = _route_round(
-                    pairs, engine_used, graph, scalar_router,
+                    pairs, engine, graph, scalar_router,
                     recorder, mirror, batch_router, recovery, live,
                 )
                 record.success_rate = float(success.mean()) if success.size else 0.0
@@ -194,15 +192,15 @@ def run_churn_rounds(
     finally:
         if recorder is not None:
             recorder.detach()
-    return results, engine_used
+    return results
 
 
 def _route_round(
-    pairs, engine_used, graph, scalar_router, recorder, mirror, batch_router,
+    pairs, engine, graph, scalar_router, recorder, mirror, batch_router,
     recovery, live,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Route one round's lookups; return per-query (success, hops) arrays."""
-    if engine_used == "fastpath":
+    if engine == "fastpath":
         mirror.apply(recorder.drain())
         batch_router.rebase(mirror.snapshot())
         if recovery is RecoveryStrategy.RANDOM_REROUTE:
@@ -316,9 +314,8 @@ def _churn(spec: ScenarioSpec) -> ScenarioOutcome:
     rates = [float(level) for level in spec.failures.levels] or [0.05]
     tables: list[ExperimentTable] = []
     raw: list[tuple[float, list[ChurnRound]]] = []
-    engine_used = spec.engine
     for index, rate in enumerate(rates):
-        rows, engine_used = run_churn_rounds(
+        rows = run_churn_rounds(
             churn_rate=rate,
             # Always derived per level, so a rate's numbers do not change
             # when further levels are added to the sweep.
@@ -351,7 +348,7 @@ def _churn(spec: ScenarioSpec) -> ScenarioOutcome:
                 round(record.mean_latency, 6),
             )
         tables.append(table)
-    return ScenarioOutcome(tables=tables, raw=raw, engine_used=engine_used)
+    return ScenarioOutcome(tables=tables, raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +411,9 @@ def _maintenance_cost(spec: ScenarioSpec) -> ScenarioOutcome:
         "plus one search per regenerated link; the routability probe routes "
         "the workload's searches after the final repair pass.",
     )
-    engine_used = spec.engine
     raw: list[tuple[float, list[ChurnRound]]] = []
     for index, rate in enumerate(rates):
-        rows, engine_used = run_churn_rounds(
+        rows = run_churn_rounds(
             churn_rate=rate,
             seed=derive_seed(spec.seed, "maintenance-cost", index),
             **parameters,
@@ -439,4 +435,4 @@ def _maintenance_cost(spec: ScenarioSpec) -> ScenarioOutcome:
             round(total.messages / events, 6) if events else 0.0,
             round(last.success_rate, 6), round(last.mean_hops, 6),
         )
-    return ScenarioOutcome(tables=[table], raw=raw, engine_used=engine_used)
+    return ScenarioOutcome(tables=[table], raw=raw)

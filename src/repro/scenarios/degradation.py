@@ -36,7 +36,6 @@ from repro.fastpath import (
     BatchGreedyRouter,
     DeltaRecorder,
     DeltaSnapshot,
-    select_engine,
 )
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.run import ScenarioOutcome
@@ -140,10 +139,10 @@ def run_degradation(
     engine: str,
     targeted_count: int | None = None,
     include_stabilize: bool = True,
-) -> tuple[list[dict], str]:
+) -> list[dict]:
     """Replay one escalating schedule at ``intensity``; measure after each event.
 
-    Returns (per-event measurement rows, engine used).  The first row is the
+    Returns the per-event measurement rows.  The first row is the
     healthy baseline (``event=-1``); each following row measures routing
     right after one schedule event.  ``hop_stretch`` is the mean successful
     hop count relative to the healthy baseline.
@@ -151,12 +150,11 @@ def run_degradation(
     system = _build_system(protocol, nodes, seed=derive_seed(seed, "degradation-build"))
     graph = getattr(system, "graph", None)
     overlay = system if graph is None else graph
-    engine_used = select_engine(engine, recovery)
     route_seed = derive_seed(seed, "degradation-route")
     lookups = LookupWorkload(seed=derive_seed(seed, "degradation-lookups"))
 
     recorder = mirror = batch_router = scalar_router = None
-    if engine_used == "fastpath":
+    if engine == "fastpath":
         if graph is not None:
             recorder = DeltaRecorder.attach(graph)
             mirror = DeltaSnapshot.from_graph(graph)
@@ -181,7 +179,7 @@ def run_degradation(
         if len(live) < 2 or searches <= 0:
             return 0.0, 0.0
         pairs = lookups.pairs(live, searches)
-        if engine_used == "fastpath":
+        if engine == "fastpath":
             batch_router.rebase(mirror.snapshot())
             if graph is not None and recovery is RecoveryStrategy.RANDOM_REROUTE:
                 # Match the scalar detour pool order (node-table order).
@@ -248,7 +246,7 @@ def run_degradation(
     finally:
         if recorder is not None:
             recorder.detach()
-    return rows, engine_used
+    return rows
 
 
 @register_scenario(
@@ -264,13 +262,12 @@ def _degradation(spec: ScenarioSpec) -> ScenarioOutcome:
     protocol = spec.topology.protocol
     tables: list[ExperimentTable] = []
     raw: list[tuple[float, list[dict]]] = []
-    engine_used = spec.engine
     columns = [
         "event", "kind", "live_nodes", "failed_nodes", "failed_links",
         "repair_actions", "success_rate", "mean_hops", "hop_stretch",
     ]
     for index, intensity in enumerate(intensities):
-        rows, engine_used = run_degradation(
+        rows = run_degradation(
             protocol=protocol,
             nodes=spec.topology.nodes,
             intensity=intensity,
@@ -302,4 +299,4 @@ def _degradation(spec: ScenarioSpec) -> ScenarioOutcome:
                 round(row["hop_stretch"], 6),
             )
         tables.append(table)
-    return ScenarioOutcome(tables=tables, raw=raw, engine_used=engine_used)
+    return ScenarioOutcome(tables=tables, raw=raw)

@@ -1,16 +1,19 @@
 """Built-in scenarios: every experiment of the paper, registered.
 
-This module ports the repository's seven bespoke experiment entry points
-(``run_figure5/6/7``, ``run_table1``, the ablations, and
-``run_baseline_comparison``) onto the declarative scenario API.  Each
-registration pairs a default :class:`~repro.scenarios.spec.ScenarioSpec`
-(mirroring the legacy function defaults exactly, so the deprecation shims
-reproduce identical numbers at a fixed seed) with an execute hook that maps
-the spec onto the measurement implementation.
+Each registration pairs a default :class:`~repro.scenarios.spec.ScenarioSpec`
+with an execute hook that maps the spec onto the experiment's measurement in
+:mod:`repro.experiments` (Figures 5-7, Table 1, the ablations, and the
+baseline comparison).  The hooks are the only way into those measurements.
 
-The ``*_spec`` helpers build specs from legacy keyword arguments; the
-deprecation shims in :mod:`repro.experiments` call them and then delegate to
-:func:`repro.scenarios.run`.
+The ``*_spec`` helpers are the typed spec builders: they take the
+experiment's parameters as keyword arguments and return a spec for
+:func:`repro.scenarios.run`, e.g. ``run(figure6_spec(nodes=1 << 17,
+engine="fastpath"))``.
+
+Scenarios that run on both engines route through exactly the engine the
+spec requests, so their :class:`~repro.scenarios.run.RunResult` reports
+``engine_used == spec.engine``; the construction-only and object-only
+scenarios report ``"object"``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from repro.core.construction import (
 )
 from repro.core.failures import ByzantineBehavior
 from repro.core.routing import RecoveryStrategy
-from repro.fastpath import select_engine
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.run import ScenarioOutcome
 from repro.scenarios.spec import (
@@ -37,7 +39,6 @@ from repro.scenarios.spec import (
 )
 
 __all__ = [
-    "policy_name",
     "figure5_spec",
     "figure6_spec",
     "figure7_spec",
@@ -56,21 +57,6 @@ _POLICIES = {
 }
 
 
-def policy_name(policy) -> str | None:
-    """Map a link-replacement policy object to its registry name.
-
-    ``None`` (the "use the default" sentinel) maps to ``"inverse-distance"``;
-    an instance of an unknown custom policy class returns ``None`` (not
-    spec-representable).
-    """
-    if policy is None:
-        return "inverse-distance"
-    for name, cls in _POLICIES.items():
-        if type(policy) is cls:
-            return name
-    return None
-
-
 def _policy_from_name(name: str):
     try:
         return _POLICIES[name]()
@@ -85,17 +71,6 @@ def _levels(spec: ScenarioSpec) -> list[float] | None:
     return list(spec.failures.levels) or None
 
 
-def _combined_engine(engine: str, recoveries) -> str:
-    """The engine(s) expected to be used across a set of recovery strategies.
-
-    Since the fastpath engine covers all three recovery strategies this is a
-    single engine in practice; mixed results (e.g. a partial fallback) join
-    as ``"fastpath+object"``.
-    """
-    used = sorted({select_engine(engine, recovery) for recovery in recoveries})
-    return "+".join(used)
-
-
 # ---------------------------------------------------------------------------
 # figure5
 # ---------------------------------------------------------------------------
@@ -108,7 +83,7 @@ def figure5_spec(
     replacement_policy: str = "inverse-distance",
     seed: int = 0,
 ) -> ScenarioSpec:
-    """Spec for the ``"figure5"`` scenario from legacy keyword arguments."""
+    """Spec for the ``"figure5"`` scenario."""
     return ScenarioSpec(
         scenario="figure5",
         topology=TopologySpec(kind="heuristic", nodes=nodes, links_per_node=links_per_node),
@@ -163,7 +138,7 @@ def figure6_spec(
     seed: int = 0,
     engine: str = "object",
 ) -> ScenarioSpec:
-    """Spec for the ``"figure6"`` scenario from legacy keyword arguments."""
+    """Spec for the ``"figure6"`` scenario."""
     return ScenarioSpec(
         scenario="figure6",
         topology=TopologySpec(kind="ideal", nodes=nodes, links_per_node=links_per_node),
@@ -195,19 +170,7 @@ def _figure6(spec: ScenarioSpec) -> ScenarioOutcome:
         seed=spec.seed,
         engine=spec.engine,
     )
-    # Surface the engines that *actually* routed (recorded per strategy and
-    # failure level by the measurement) rather than a prediction, so a
-    # partial fallback shows up as a mixed "fastpath+object" run.
-    recorded = {
-        engine
-        for levels_used in result.parameters["engines_used_per_level"].values()
-        for engine in levels_used
-    }
-    return ScenarioOutcome(
-        tables=list(result.to_tables()),
-        raw=result,
-        engine_used="+".join(sorted(recorded)) if recorded else spec.engine,
-    )
+    return ScenarioOutcome(tables=list(result.to_tables()), raw=result)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +188,7 @@ def figure7_spec(
     seed: int = 0,
     engine: str = "object",
 ) -> ScenarioSpec:
-    """Spec for the ``"figure7"`` scenario from legacy keyword arguments."""
+    """Spec for the ``"figure7"`` scenario."""
     return ScenarioSpec(
         scenario="figure7",
         topology=TopologySpec(kind="ideal", nodes=nodes, links_per_node=links_per_node),
@@ -245,22 +208,17 @@ def figure7_spec(
 def _figure7(spec: ScenarioSpec) -> ScenarioOutcome:
     from repro.experiments.figure7 import _run_figure7_impl
 
-    recovery = spec.routing.recovery_strategy()
     result = _run_figure7_impl(
         nodes=spec.topology.nodes,
         links_per_node=spec.topology.links_per_node,
         failure_levels=_levels(spec),
         searches_per_point=spec.workload.searches,
         iterations=spec.workload.iterations,
-        recovery=recovery,
+        recovery=spec.routing.recovery_strategy(),
         seed=spec.seed,
         engine=spec.engine,
     )
-    return ScenarioOutcome(
-        tables=[result.to_table()],
-        raw=result,
-        engine_used=select_engine(spec.engine, recovery),
-    )
+    return ScenarioOutcome(tables=[result.to_table()], raw=result)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +236,7 @@ def table1_spec(
     recovery: str = RecoveryStrategy.BACKTRACK.value,
     engine: str = "object",
 ) -> ScenarioSpec:
-    """Spec for the ``"table1"`` scenario from legacy keyword arguments.
+    """Spec for the ``"table1"`` scenario.
 
     The four sweep axes live in ``extras``; ``None`` keeps the measurement's
     default sweep (``2^8..2^12`` sizes and the paper's link/base/probability
@@ -317,7 +275,6 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
             return None
         return list(values) if isinstance(values, (tuple, list)) else [values]
 
-    recovery = spec.routing.recovery_strategy()
     result = _run_table1_impl(
         sizes=axis("sizes"),
         link_counts=axis("link_counts"),
@@ -325,14 +282,10 @@ def _table1(spec: ScenarioSpec) -> ScenarioOutcome:
         probabilities=axis("probabilities"),
         searches=spec.workload.searches,
         seed=spec.seed,
-        recovery=recovery,
+        recovery=spec.routing.recovery_strategy(),
         engine=spec.engine,
     )
-    return ScenarioOutcome(
-        tables=result.tables(),
-        raw=result,
-        engine_used=select_engine(spec.engine, recovery),
-    )
+    return ScenarioOutcome(tables=result.tables(), raw=result)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +493,7 @@ def _baselines(spec: ScenarioSpec) -> ScenarioOutcome:
 
     from repro.experiments.baseline_comparison import _run_baseline_comparison_impl
 
-    table, engines_used = _run_baseline_comparison_impl(
+    table = _run_baseline_comparison_impl(
         bits=max(1, round(math.log2(spec.topology.nodes))),
         searches=spec.workload.searches,
         failure_level=spec.failures.levels[0] if spec.failures.levels else 0.3,
@@ -548,8 +501,4 @@ def _baselines(spec: ScenarioSpec) -> ScenarioOutcome:
         engine=spec.engine,
         protocol=spec.topology.protocol,
     )
-    return ScenarioOutcome(
-        tables=[table],
-        raw=table,
-        engine_used="+".join(sorted(engines_used)) if engines_used else spec.engine,
-    )
+    return ScenarioOutcome(tables=[table], raw=table)

@@ -3,9 +3,9 @@
 Every experiment in the repository — each figure, the Table-1 sweep, every
 ablation, the baseline comparison, and any user-defined scenario — executes
 through this one function.  The returned :class:`RunResult` is a structured,
-JSON-round-trippable record: it echoes the spec, reports the engine actually
-used (which can differ from the requested one when a fastpath request is
-downgraded), carries the result :class:`~repro.experiments.runner.ExperimentTable`
+JSON-round-trippable record: it echoes the spec, reports the engine used
+(the requested one, or ``"object"`` for scenarios that run only on the object
+engine), carries the result :class:`~repro.experiments.runner.ExperimentTable`
 objects, and includes wall-clock timing.  Sweeps persist these records so
 runs can be saved, diffed, and resumed.
 """
@@ -33,8 +33,8 @@ class ScenarioOutcome:
 
     ``raw`` is the scenario's native result object (e.g. a
     :class:`~repro.experiments.figure6.Figure6Result`) for in-process callers;
-    it is not serialised.  ``engine_used`` reports the engine that actually
-    routed queries (``None`` means "as requested").
+    it is not serialised.  ``engine_used`` is ``None`` (the requested engine)
+    except for scenarios that run only on the object engine.
     """
 
     tables: list[ExperimentTable]

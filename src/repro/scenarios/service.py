@@ -49,7 +49,6 @@ from repro.fastpath import (
     BatchGreedyRouter,
     DeltaRecorder,
     DeltaSnapshot,
-    select_engine,
 )
 from repro.scenarios.churn import _route_round
 from repro.scenarios.registry import register_scenario
@@ -185,10 +184,10 @@ def run_service_rounds(
     engine: str,
     latency_median: float = 1.0,
     latency_sigma: float = 0.4,
-) -> tuple[list[ServiceRound], Histogram, Histogram, str]:
+) -> tuple[list[ServiceRound], Histogram, Histogram]:
     """Drive the interleaved service schedule; measure every round.
 
-    Returns ``(rounds, hop_hist, latency_hist, engine_used)`` — the two
+    Returns ``(rounds, hop_hist, latency_hist)`` — the two
     histograms aggregate every successful lookup of the whole run and feed
     the steady-state summary table.  On ``engine="fastpath"`` the batch
     router follows the overlay through recorded deltas, rebasing once per
@@ -203,18 +202,17 @@ def run_service_rounds(
     )
     graph = construction.graph
     daemon = MaintenanceDaemon(construction)
-    engine_used = select_engine(engine, recovery)
 
     recorder = mirror = batch_router = None
     route_seed = derive_seed(seed, "service-route")
-    if engine_used == "fastpath":
+    if engine == "fastpath":
         recorder = DeltaRecorder.attach(graph)
         mirror = DeltaSnapshot.from_graph(graph)
         batch_router = BatchGreedyRouter(
             mirror.snapshot(), recovery=recovery, seed=route_seed
         )
     scalar_router = None
-    if engine_used == "object":
+    if engine == "object":
         scalar_router = GreedyRouter(graph, recovery=recovery, seed=route_seed)
 
     members = sorted(graph.labels())
@@ -266,7 +264,7 @@ def run_service_rounds(
                     # repro: allow[RPR001] — timing only reachable with telemetry on
                     started = time.perf_counter()
                 success, hops = _route_round(
-                    pairs, engine_used, graph, scalar_router,
+                    pairs, engine, graph, scalar_router,
                     recorder, mirror, batch_router, recovery, live,
                 )
                 if tel is not None:
@@ -296,7 +294,7 @@ def run_service_rounds(
     finally:
         if recorder is not None:
             recorder.detach()
-    return results, hop_hist, latency_hist, engine_used
+    return results, hop_hist, latency_hist
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +394,8 @@ def _service(spec: ScenarioSpec) -> ScenarioOutcome:
     rates = [float(level) for level in spec.failures.levels] or [0.02]
     tables: list[ExperimentTable] = []
     raw: list[tuple[float, list[ServiceRound]]] = []
-    engine_used = spec.engine
     for index, rate in enumerate(rates):
-        rows, hop_hist, latency_hist, engine_used = run_service_rounds(
+        rows, hop_hist, latency_hist = run_service_rounds(
             churn_rate=rate,
             # Derived per level, so a level's numbers never change when the
             # sweep grows more levels.
@@ -457,4 +454,4 @@ def _service(spec: ScenarioSpec) -> ScenarioOutcome:
             hop_p50, hop_p99, lat_p50, lat_p99, total_repair.messages,
         )
         tables.append(summary)
-    return ScenarioOutcome(tables=tables, raw=raw, engine_used=engine_used)
+    return ScenarioOutcome(tables=tables, raw=raw)

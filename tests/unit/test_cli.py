@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
+from repro.scenarios import SpecError, get_scenario
+
+FIGURE6_SMALL = [
+    "run", "figure6", "--set", "topology.nodes=256", "--set", "workload.searches=20",
+]
 
 
 class TestParser:
@@ -14,23 +21,31 @@ class TestParser:
             parser.parse_args([])
 
     def test_figure5_defaults(self):
-        args = build_parser().parse_args(["figure5"])
-        assert args.command == "figure5"
-        assert args.nodes == 1 << 12
-        assert args.networks == 3
+        args = build_parser().parse_args(["run", "figure5"])
+        assert args.command == "run"
+        assert args.scenario == "figure5"
+        assert args.overrides == []
+        assert args.engine is None
+        spec = get_scenario("figure5").make_spec()
+        assert spec.topology.nodes == 1 << 11
+        assert spec.workload.networks == 5
 
     def test_seed_is_global(self):
-        args = build_parser().parse_args(["--seed", "9", "table1"])
+        args = build_parser().parse_args(["--seed", "9", "run", "table1"])
         assert args.seed == 9
 
     def test_all_commands_exist(self):
         parser = build_parser()
-        for command in (
-            "figure5", "figure6", "figure7", "table1",
-            "ablations", "baselines", "route-bench", "all",
-        ):
-            args = parser.parse_args([command]) if command != "all" else parser.parse_args(["all"])
-            assert args.command == command
+        (subcommands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subcommands.choices) == {
+            "list", "run", "sweep", "bench-diff", "lint", "analyze",
+        }
+        # Experiments run only through `run`; a scenario name is no subcommand.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["figure6"])
 
     def test_scenario_commands_exist(self):
         parser = build_parser()
@@ -47,84 +62,66 @@ class TestParser:
         assert args.jobs == 2
 
     def test_format_option(self):
-        for command in ("figure5", "figure6", "figure7", "table1", "ablations", "baselines"):
-            assert build_parser().parse_args([command]).format == "text"
-        args = build_parser().parse_args(["table1", "--format", "json"])
+        for scenario in ("figure5", "figure6", "figure7", "table1", "byzantine", "baselines"):
+            assert build_parser().parse_args(["run", scenario]).format == "text"
+        args = build_parser().parse_args(["run", "table1", "--format", "json"])
         assert args.format == "json"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure5", "--format", "yaml"])
+            build_parser().parse_args(["run", "figure5", "--format", "yaml"])
 
     def test_engine_option_defaults_to_object(self):
-        for command in ("figure6", "figure7", "table1", "route-bench"):
-            args = build_parser().parse_args([command])
-            assert args.engine == "object"
-        args = build_parser().parse_args(["figure6", "--engine", "fastpath"])
+        for scenario in ("figure6", "figure7", "table1", "baselines"):
+            assert build_parser().parse_args(["run", scenario]).engine is None
+            assert get_scenario(scenario).make_spec().engine == "object"
+        args = build_parser().parse_args(["run", "figure6", "--engine", "fastpath"])
         assert args.engine == "fastpath"
 
     def test_engine_option_rejects_unknown_engines(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure6", "--engine", "gpu"])
-
-    def test_route_bench_defaults(self):
-        args = build_parser().parse_args(["route-bench"])
-        assert args.nodes == 10_000
-        assert args.queries == 10_000
-        assert args.fail == 0.0
-        assert args.mode == "two-sided"
+            build_parser().parse_args(["run", "figure6", "--engine", "gpu"])
+        with pytest.raises(SpecError, match="gpu"):
+            main(["run", "figure6", "--set", "engine=gpu"])
 
 
 class TestMain:
     def test_figure5_small(self, capsys):
-        exit_code = main(["figure5", "--nodes", "128", "--networks", "1", "--links", "4"])
+        exit_code = main([
+            "run", "figure5", "--set", "topology.nodes=128",
+            "--set", "workload.networks=1", "--set", "topology.links_per_node=4",
+        ])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "Figure 5" in output
         assert "max |error|" in output
 
     def test_figure7_small(self, capsys):
-        exit_code = main(
-            ["figure7", "--nodes", "128", "--searches", "20", "--iterations", "1"]
-        )
+        exit_code = main([
+            "run", "figure7", "--set", "topology.nodes=128",
+            "--set", "workload.searches=20", "--set", "workload.iterations=1",
+        ])
         assert exit_code == 0
         assert "Figure 7" in capsys.readouterr().out
 
     def test_figure6_small(self, capsys):
-        exit_code = main(["figure6", "--nodes", "256", "--searches", "20"])
+        exit_code = main(FIGURE6_SMALL)
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "Figure 6(a)" in output and "Figure 6(b)" in output
 
     def test_baselines_small(self, capsys):
-        exit_code = main(["baselines", "--bits", "6", "--searches", "20"])
+        exit_code = main([
+            "run", "baselines", "--set", "topology.nodes=64",
+            "--set", "workload.searches=20",
+        ])
         assert exit_code == 0
         assert "chord" in capsys.readouterr().out
 
     def test_figure6_fastpath_engine_matches_object(self, capsys):
-        main(["figure6", "--nodes", "256", "--searches", "20"])
+        main(FIGURE6_SMALL)
         object_output = capsys.readouterr().out
-        main(["figure6", "--nodes", "256", "--searches", "20", "--engine", "fastpath"])
+        main(FIGURE6_SMALL + ["--engine", "fastpath"])
         fastpath_output = capsys.readouterr().out
         assert object_output == fastpath_output
-
-    @pytest.mark.parametrize("engine", ["object", "fastpath"])
-    def test_route_bench_small(self, capsys, engine):
-        exit_code = main(
-            ["route-bench", "--nodes", "256", "--queries", "40", "--engine", engine]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "route-bench" in output
-        assert "queries_per_sec" in output
-
-    def test_route_bench_with_failures_and_one_sided_mode(self, capsys):
-        exit_code = main(
-            [
-                "route-bench", "--nodes", "256", "--queries", "40",
-                "--engine", "fastpath", "--fail", "0.3", "--mode", "one-sided",
-            ]
-        )
-        assert exit_code == 0
-        assert "one-sided" in capsys.readouterr().out
 
 
 class TestScenarioCommands:
@@ -219,20 +216,24 @@ class TestScenarioCommands:
         assert engines == ["fastpath", "object"]
 
     def test_legacy_format_json(self, capsys):
+        """`run --format json` carries every result table."""
         import json
 
-        exit_code = main(
-            ["figure5", "--nodes", "128", "--networks", "1", "--format", "json"]
-        )
+        exit_code = main([
+            "run", "figure5", "--set", "topology.nodes=128",
+            "--set", "workload.networks=1", "--format", "json",
+        ])
         assert exit_code == 0
-        tables = json.loads(capsys.readouterr().out)
+        tables = json.loads(capsys.readouterr().out)["tables"]
         assert tables[0]["title"].startswith("Figure 5")
 
     def test_legacy_format_csv(self, capsys):
-        exit_code = main(
-            ["figure7", "--nodes", "128", "--searches", "10", "--iterations", "1",
-             "--format", "csv"]
-        )
+        """`run --format csv` prints a one-table scenario as bare CSV."""
+        exit_code = main([
+            "run", "figure7", "--set", "topology.nodes=128",
+            "--set", "workload.searches=10", "--set", "workload.iterations=1",
+            "--format", "csv",
+        ])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert output.splitlines()[0] == "failed_nodes,constructed,ideal"

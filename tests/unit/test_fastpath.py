@@ -23,8 +23,6 @@ from repro.fastpath import (
     build_snapshot,
     compile_snapshot,
     sample_node_failures,
-    select_engine,
-    supports_recovery,
 )
 from repro.simulation.workload import LookupWorkload
 
@@ -316,16 +314,23 @@ class TestFastpathFailures:
 
 class TestEngineSelection:
     def test_supported_recoveries(self):
-        assert supports_recovery(RecoveryStrategy.TERMINATE)
-        assert supports_recovery(RecoveryStrategy.BACKTRACK)
-        assert supports_recovery(RecoveryStrategy.RANDOM_REROUTE)
-
-    def test_select_engine_fallback_and_validation(self):
+        # Every Section-6 strategy routes on the fastpath, even from a bare
+        # direct-built snapshot with no object graph behind it.
+        snapshot = build_snapshot(128, links_per_node=4, seed=2)
+        failed = sample_node_failures(snapshot, 0.3, seed=5)
+        snapshot = snapshot.with_alive(snapshot.alive & ~failed)
+        live = snapshot.labels[snapshot.alive].tolist()
+        pairs = LookupWorkload(seed=3).pairs(live, 40)
         for recovery in RecoveryStrategy:
-            assert select_engine("fastpath", recovery) == "fastpath"
-            assert select_engine("object", recovery) == "object"
-        with pytest.raises(ValueError):
-            select_engine("gpu", RecoveryStrategy.TERMINATE)
+            outcome = route_pairs_with_engine(
+                None, pairs, engine="fastpath", recovery=recovery, snapshot=snapshot
+            )
+            assert outcome.failures + len(outcome.hops) == len(pairs)
+
+    def test_route_pairs_with_engine_rejects_unknown_engine(self):
+        graph = build_ideal_network(64, seed=1).graph
+        with pytest.raises(ValueError, match="gpu"):
+            route_pairs_with_engine(graph, [(0, 32)], engine="gpu")
 
     def test_route_pairs_with_engine_parity_all_strategies(self):
         graph = build_ideal_network(128, seed=10).graph
@@ -338,18 +343,13 @@ class TestEngineSelection:
                 graph, pairs, engine="fastpath", recovery=recovery, seed=9
             )
             assert (obj.failures, obj.hops) == (fast.failures, fast.hops)
-            assert obj.engine_used == "object"
-            assert fast.engine_used == "fastpath"
 
-    def test_unsupported_space_falls_back_with_warning(self):
-        from repro.experiments.runner import FastpathFallbackWarning
-
+    def test_unsupported_space_raises(self):
         graph = OverlayGraph(TorusMetric(side=6, dimensions=2))
-        # The torus has no 1-D snapshot compilation; the harness downgrades
-        # loudly instead of failing the sweep.
-        with pytest.warns(FastpathFallbackWarning):
-            outcome = route_pairs_with_engine(graph, [], engine="fastpath")
-        assert outcome.engine_used == "object"
+        # The torus has no 1-D snapshot compilation; a fastpath request fails
+        # loudly instead of silently routing on the object engine.
+        with pytest.raises(NotImplementedError):
+            route_pairs_with_engine(graph, [], engine="fastpath")
 
     def test_snapshot_only_run_without_graph(self):
         from repro.fastpath import build_snapshot
@@ -358,8 +358,8 @@ class TestEngineSelection:
         outcome = route_pairs_with_engine(
             None, [(0, 64), (3, 99)], engine="fastpath", snapshot=snapshot
         )
-        assert outcome.engine_used == "fastpath"
         assert outcome.failures == 0
+        assert len(outcome.hops) == 2
         with pytest.raises(ValueError):
             route_pairs_with_engine(None, [(0, 64)], engine="object")
 
