@@ -58,6 +58,7 @@ from repro.core.routing import (
     RouteResult,
     RoutingMode,
 )
+from repro.fastpath.dtypes import INDEX_DTYPE
 from repro.fastpath.snapshot import FastpathSnapshot
 from repro.telemetry.core import (
     HOP_BUCKETS,
@@ -256,8 +257,9 @@ class BatchGreedyRouter:
     Parameters
     ----------
     snapshot:
-        The compiled overlay.  Its ``alive`` mask is the node-liveness the
-        router respects; link liveness was baked in at compile time.
+        The compiled overlay.  Its ``alive`` mask is the node liveness the
+        router respects, and its ``edge_alive`` mask (when present) the link
+        liveness.
     mode:
         Two-sided (default) or one-sided greedy forwarding.
     recovery:
@@ -297,8 +299,6 @@ class BatchGreedyRouter:
     seed: int = 0
     reroute_pool: object = None
     _pool_cache: tuple | None = field(default=None, repr=False, compare=False)
-    _usable_cache: object = field(default=None, repr=False, compare=False)
-    _edge_valid_cache: object = field(default=None, repr=False, compare=False)
 
     @property
     def policy(self):
@@ -308,61 +308,18 @@ class BatchGreedyRouter:
     def rebase(self, snapshot: FastpathSnapshot) -> None:
         """Point the router at a delta-updated snapshot.
 
-        Invalidates the per-snapshot caches (the liveness-folded usable
-        matrix and the detour pool) while keeping the router's configuration
-        and its random re-route stream — batches routed across successive
-        deltas continue the same draw sequence, exactly like a scalar router
-        observing the overlay mutate in place.  This is the per-*delta*
-        invalidation point: liveness-only deltas hand back a snapshot that
-        shares its dense adjacency matrices with the previous one (see
-        :meth:`~repro.fastpath.delta.DeltaSnapshot.snapshot`), so only the
-        two caches cleared here are actually recomputed.
+        Swaps the snapshot and drops the detour pool while keeping the
+        router's configuration and its random re-route stream — batches
+        routed across successive deltas continue the same draw sequence,
+        exactly like a scalar router observing the overlay mutate in place.
+        Liveness-only deltas hand back a snapshot that shares its dense
+        adjacency matrices with the previous one (see
+        :meth:`~repro.fastpath.delta.DeltaSnapshot.snapshot`), and node and
+        edge liveness are applied per step to the gathered frontier rows, so
+        nothing proportional to the overlay is recomputed here.
         """
         self.snapshot = snapshot
-        self._usable_cache = None
         self._pool_cache = None
-        self._edge_valid_cache = None
-
-    def _valid_matrix(
-        self, matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ) -> np.ndarray:
-        """The padding-validity matrix with dead *edges* masked out, cached.
-
-        With no ``edge_alive`` mask this is the plain padding mask; with one,
-        each dead table entry's dense slot is switched off — the node knows
-        its own table's health, so dead edges are excluded as candidates in
-        both knowledge regimes (exactly as the scalar rules skip them).
-        """
-        snapshot = self.snapshot
-        if snapshot.edge_alive is None:
-            return matrices[1]
-        if self._edge_valid_cache is None:
-            _dense, valid, _labels = matrices
-            edge_ok = valid.copy()
-            degrees = snapshot.degrees()
-            rows = np.repeat(np.arange(snapshot.num_nodes, dtype=np.int64), degrees)
-            offsets = np.arange(
-                snapshot.neighbor_indices.shape[0], dtype=np.int64
-            ) - np.repeat(snapshot.neighbor_indptr[:-1], degrees)
-            edge_ok[rows, offsets] = snapshot.edge_alive
-            self._edge_valid_cache = edge_ok
-        return self._edge_valid_cache
-
-    def _usable_matrix(
-        self, matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ) -> np.ndarray:
-        """Edge-validity with dead neighbours also masked out, cached per router.
-
-        The snapshot's ``alive`` mask is immutable, so in the lenient
-        knowledge regime (dead candidates skipped) liveness can be folded
-        into the validity mask once instead of being re-gathered every hop.
-        """
-        if self._usable_cache is None:
-            dense, _valid, _ = matrices
-            valid = self._valid_matrix(matrices)
-            alive = self.snapshot.alive
-            self._usable_cache = valid & alive[np.where(valid, dense, 0)]
-        return self._usable_cache
 
     def __post_init__(self) -> None:
         if self.backtrack_depth < 1:
@@ -876,26 +833,33 @@ class BatchGreedyRouter:
         matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
         current: np.ndarray,
         target: np.ndarray,
-        valid_matrix: np.ndarray | None = None,
+        alive: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Gather neighbour rows and ask the snapshot's policy to key them.
 
         Returns ``(neighbors, valid, keyed, blocked)``: the dense neighbour
-        rows of the queried vertices, the non-padding mask, the policy's key
-        matrix (``>= blocked`` marks inadmissible candidates), and the
-        blocked sentinel in the key dtype.  *Node* liveness is not applied
-        here unless the caller folds it into ``valid_matrix`` (the
-        knowledge-regime handling stays with the caller); *edge* liveness
-        always is — a node never proposes a table entry it knows is down.
+        rows of the queried vertices, their usable-candidate mask, the
+        policy's key matrix (``>= blocked`` marks inadmissible candidates),
+        and the blocked sentinel in the key dtype.  Liveness is applied to
+        the gathered rows only, so the cost follows the frontier rather than
+        the overlay.  *Edge* liveness is always applied — a node never
+        proposes a table entry it knows is down; *node* liveness only when
+        the caller passes ``alive`` (the knowledge-regime handling stays
+        with the caller).
         """
         snapshot = self.snapshot
-        dense, _padding_valid, label_matrix = matrices
-        if valid_matrix is None:
-            valid_matrix = self._valid_matrix(matrices)
+        dense, padding_valid, label_matrix = matrices
         compact_labels = snapshot.labels_compact()
 
         neighbors = dense[current]  # (k, max_degree) vertex indices, -1 pad
-        valid = valid_matrix[current]
+        valid = padding_valid[current]
+        if snapshot.edge_alive is not None:
+            # Dense slot ``s`` of row ``v`` is CSR entry ``indptr[v] + s``.
+            slots = np.arange(dense.shape[1], dtype=INDEX_DTYPE)
+            positions = snapshot.neighbor_indptr[current][:, None] + slots
+            valid &= snapshot.edge_alive[np.where(valid, positions, 0)]
+        if alive is not None:
+            valid &= alive[np.where(valid, neighbors, 0)]
         neighbor_labels = label_matrix[current]
         current_labels = compact_labels[current]
         target_labels = compact_labels[target]
@@ -927,13 +891,11 @@ class BatchGreedyRouter:
         """
         alive = self.snapshot.alive
         # Lenient regime: dead candidates are skipped, which is equivalent to
-        # never having them in the row — fold the (immutable) liveness mask
-        # into validity once per router instead of re-gathering it per hop.
-        usable = None
-        if not self.strict_best_neighbor and not all_alive:
-            usable = self._usable_matrix(matrices)
+        # never having them in the row — mask the gathered neighbours' liveness
+        # into this step's validity rows.
+        lenient = not self.strict_best_neighbor and not all_alive
         neighbors, _valid, keyed, blocked = self._candidate_keys(
-            matrices, current, target, valid_matrix=usable
+            matrices, current, target, alive=alive if lenient else None
         )
 
         # First minimum along the row == the scalar router's stable

@@ -502,7 +502,7 @@ class DeltaSnapshot:
         for round in rounds:
             ...joins / leaves / crashes / daemon.repair_all_batched()...
             mirror.apply(recorder.drain())
-            router.rebase(mirror.snapshot())   # per-delta cache invalidation
+            router.rebase(mirror.snapshot())   # swap snapshot, keep RNG stream
             router.route_pairs(pairs)
 
     Liveness-only deltas (pure crash rounds) re-use the previously
@@ -772,14 +772,19 @@ class DeltaSnapshot:
         matching the table-based overlays' per-pair edge state);
         ``OP_REBUILD`` recompiles the source overlay (``from_overlay``
         mirrors only).  Other structural ops still require a recompile.
+        Each run of consecutive node flips is written in one scatter, flushed
+        before the next other op so op order is kept.
         """
+        flip_labels: list[int] = []
+        flip_states: list[bool] = []
         for op in delta.ops:
             code = op[0]
-            if code == OP_FAIL:
-                self._mask_alive[self._base.indices_of([op[1]])[0]] = False
-            elif code == OP_REVIVE:
-                self._mask_alive[self._base.indices_of([op[1]])[0]] = True
-            elif code == OP_LINK_FAIL or code == OP_LINK_REVIVE:
+            if code == OP_FAIL or code == OP_REVIVE:
+                flip_labels.append(op[1])
+                flip_states.append(code == OP_REVIVE)
+                continue
+            self._flip_nodes(flip_labels, flip_states)
+            if code == OP_LINK_FAIL or code == OP_LINK_REVIVE:
                 holder, target = self._base.indices_of([op[1], op[2]])
                 indptr = self._base.neighbor_indptr
                 start, stop = int(indptr[holder]), int(indptr[holder + 1])
@@ -810,6 +815,22 @@ class DeltaSnapshot:
                     f"liveness-tier DeltaSnapshot cannot apply {_OP_NAMES[op[0]]!r}; "
                     "recompile the overlay for structural changes"
                 )
+        self._flip_nodes(flip_labels, flip_states)
+
+    def _flip_nodes(self, labels: list[int], states: list[bool]) -> None:
+        """Write a run of node flips onto the mask and empty the run.
+
+        NumPy leaves the winner of a repeated index in a fancy assignment
+        unspecified, so repeats are resolved first: each label's last op wins.
+        """
+        if not labels:
+            return
+        # Reversed, ``np.unique``'s first occurrence is each label's last op.
+        indices = self._base.indices_of(np.asarray(labels[::-1], dtype=np.int64))
+        unique, last = np.unique(indices, return_index=True)
+        self._mask_alive[unique] = np.asarray(states[::-1], dtype=bool)[last]
+        labels.clear()
+        states.clear()
 
     def _edge_mask(self) -> np.ndarray:
         """The per-edge alive mask, created on first use (liveness tier)."""

@@ -293,7 +293,7 @@ class FastpathSnapshot:
         The adjacency arrays and dense-matrix cache are shared — edge
         failures do not change the topology, only which table entries count
         as usable (the cache holds only pure-adjacency derivatives; masked
-        validity is folded in by the batch router per snapshot).  An
+        validity is folded in by the batch router per step).  An
         all-``True`` mask is normalised to ``None`` so a fully repaired
         snapshot is field-identical to a fresh compile.
         """

@@ -16,12 +16,15 @@ These tests generate randomized event sequences and assert exactly that:
 
 A final routing check asserts the delta-produced snapshot is not merely
 array-equal but *behaviourally* interchangeable: a batch router over it
-reproduces the scalar router walk on the mutated overlay.
+reproduces the scalar router walk on the mutated overlay, and one router
+rebased across many liveness deltas routes exactly like a fresh router on
+each delta's snapshot.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,14 +35,22 @@ from repro.baselines import (
     PlaxtonNetwork,
 )
 from repro.core.network import P2PNetwork
-from repro.core.routing import GreedyRouter
+from repro.core.routing import GreedyRouter, RecoveryStrategy
 from repro.fastpath import (
     BatchGreedyRouter,
     DeltaRecorder,
     DeltaSnapshot,
+    SnapshotDelta,
+    build_snapshot,
     compile_snapshot,
 )
-from repro.fastpath.delta import assert_snapshots_identical
+from repro.fastpath.delta import (
+    OP_FAIL,
+    OP_LINK_FAIL,
+    OP_LINK_REVIVE,
+    OP_REVIVE,
+    assert_snapshots_identical,
+)
 from repro.simulation.workload import LookupWorkload
 from repro.util.rng import spawn_rng
 
@@ -310,3 +321,144 @@ class TestFaultScheduleParity:
             reference = overlay.route(source, target)
             assert bool(result.success[index]) == reference.success
             assert result.paths[index] == reference.path
+
+
+# ---------------------------------------------------------------------------
+# Router rebase: one long-lived router across liveness-only deltas
+# ---------------------------------------------------------------------------
+
+LIVENESS_KINDS = ("fail", "revive", "link-fail", "link-revive")
+
+
+@st.composite
+def liveness_rounds(draw):
+    """A seed plus rounds of liveness events; each round is one delta.
+
+    Half the scripts carry no link events, so the router also runs with no
+    edge mask at all.
+    """
+    seed = draw(st.integers(min_value=0, max_value=50))
+    kinds = LIVENESS_KINDS if draw(st.booleans()) else LIVENESS_KINDS[:2]
+    rounds = draw(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(kinds),
+                    st.integers(min_value=0, max_value=10_000),
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return seed, rounds
+
+
+def _liveness_tier_ops(base, events, failed_links):
+    """Delta ops for one round on a ``from_snapshot`` mirror of ``base``."""
+    labels = base.labels.tolist()
+    ops = []
+    for kind, pick in events:
+        if kind in ("fail", "revive"):
+            ops.append((OP_FAIL if kind == "fail" else OP_REVIVE, labels[pick % len(labels)]))
+        elif kind == "link-fail":
+            holder = pick % len(labels)
+            row = base.neighbors_of_index(holder)
+            target = labels[int(row[(pick // len(labels)) % row.size])]
+            ops.append((OP_LINK_FAIL, labels[holder], target))
+            failed_links.append((labels[holder], target))
+        elif failed_links:
+            ops.append((OP_LINK_REVIVE, *failed_links.pop(pick % len(failed_links))))
+    return ops
+
+
+def _apply_graph_event(graph, kind, pick):
+    """One liveness event on an object graph (structural tier)."""
+    nodes = sorted(graph.nodes(), key=lambda node: node.label)
+    if kind == "fail":
+        live = [node.label for node in nodes if node.alive]
+        if len(live) > 2:
+            graph.fail_node(live[pick % len(live)])
+    elif kind == "revive":
+        dead = [node.label for node in nodes if not node.alive]
+        if dead:
+            graph.revive_node(dead[pick % len(dead)])
+    else:
+        want = kind == "link-revive"
+        links = [
+            (node.label, link.target)
+            for node in nodes
+            for link in node.long_links
+            if link.alive != want
+        ]
+        if links:
+            source, target = links[pick % len(links)]
+            if want:
+                graph.revive_long_link(source, target)
+            else:
+                graph.fail_long_link(source, target)
+
+
+def _route_kept_and_fresh(kept, snapshot, rng):
+    """Rebase ``kept`` onto ``snapshot`` and compare it with a fresh router."""
+    kept.rebase(snapshot)
+    fresh = BatchGreedyRouter(
+        snapshot, recovery=kept.recovery, strict_best_neighbor=kept.strict_best_neighbor
+    )
+    labels = snapshot.labels.astype(np.int64)
+    sources = labels[rng.integers(0, labels.size, size=12)]
+    targets = labels[rng.integers(0, labels.size, size=12)]
+    got = kept.route_batch(sources, targets, record_paths=True)
+    want = fresh.route_batch(sources, targets, record_paths=True)
+    for name in ("success", "hops", "failure_codes", "final"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.paths == want.paths
+
+
+REBASE_RECOVERIES = (RecoveryStrategy.TERMINATE, RecoveryStrategy.BACKTRACK)
+
+
+class TestRouterRebaseParity:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("recovery", REBASE_RECOVERIES)
+    @settings(max_examples=10, deadline=None)
+    @given(script=liveness_rounds())
+    def test_liveness_tier_rebase_matches_fresh_router(self, recovery, strict, script):
+        """Node and edge masks through ``from_snapshot``: kept == fresh, batch for batch."""
+        seed, rounds = script
+        base = build_snapshot(96, links_per_node=3, seed=seed, symmetric_neighbors=False)
+        mirror = DeltaSnapshot.from_snapshot(base)
+        rng = np.random.default_rng(seed)
+        kept = BatchGreedyRouter(base, recovery=recovery, strict_best_neighbor=strict)
+        _route_kept_and_fresh(kept, base, rng)
+        failed_links: list[tuple[int, int]] = []
+        for events in rounds:
+            mirror.apply(SnapshotDelta(ops=_liveness_tier_ops(base, events, failed_links)))
+            _route_kept_and_fresh(kept, mirror.snapshot(), rng)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("recovery", REBASE_RECOVERIES)
+    @settings(max_examples=10, deadline=None)
+    @given(script=liveness_rounds())
+    def test_structural_tier_rebase_matches_fresh_router(self, recovery, strict, script):
+        """Recorded fail/revive and link flips on the object graph: kept == fresh."""
+        seed, rounds = script
+        network = P2PNetwork(space_size=64, links_per_node=3, seed=seed)
+        rng = np.random.default_rng(seed)
+        network.join_many(sorted(int(x) for x in rng.choice(64, size=24, replace=False)))
+        recorder = DeltaRecorder.attach(network.graph)
+        mirror = DeltaSnapshot.from_graph(network.graph)
+        try:
+            kept = BatchGreedyRouter(
+                mirror.snapshot(), recovery=recovery, strict_best_neighbor=strict
+            )
+            _route_kept_and_fresh(kept, mirror.snapshot(), rng)
+            for events in rounds:
+                for kind, pick in events:
+                    _apply_graph_event(network.graph, kind, pick)
+                mirror.apply(recorder.drain())
+                _route_kept_and_fresh(kept, mirror.snapshot(), rng)
+        finally:
+            recorder.detach()

@@ -199,7 +199,7 @@ class TestDeltaSnapshot:
 
 
 class TestRouterRebase:
-    def test_rebase_invalidates_usable_and_pool_caches(self, mirrored):
+    def test_rebase_routes_like_scalar_router(self, mirrored):
         construction, daemon, recorder, mirror = mirrored
         graph = construction.graph
         router = BatchGreedyRouter(mirror.snapshot())
@@ -211,7 +211,7 @@ class TestRouterRebase:
         daemon.repair_all_batched()
         mirror.apply(recorder.drain())
         router.rebase(mirror.snapshot())
-        assert router._usable_cache is None and router._pool_cache is None
+        assert router._pool_cache is None
         live = sorted(graph.labels(only_alive=True))
         pairs = [(live[0], live[len(live) // 2]), (live[1], live[-1])]
         from repro.core.routing import GreedyRouter
@@ -226,6 +226,82 @@ class TestRouterRebase:
     def test_snapshot_delta_repr_roundtrip(self):
         delta = SnapshotDelta()
         assert not delta and len(delta) == 0 and delta.liveness_only
+
+
+class TestApplyMask:
+    """Liveness-tier ``apply``: node flips land in one scatter per run."""
+
+    @staticmethod
+    def _one_at_a_time(mirror, ops):
+        for op in ops:
+            mirror.apply(SnapshotDelta(ops=[op]))
+        return mirror.snapshot()
+
+    def test_repeated_label_last_op_wins(self, construction):
+        from repro.fastpath.delta import OP_FAIL, OP_REVIVE
+
+        base = compile_snapshot(construction.graph)
+        first, second = base.labels[:2].tolist()
+        ops = [(OP_FAIL, first), (OP_REVIVE, first)] * 3 + [
+            (OP_REVIVE, second),
+            (OP_FAIL, second),
+            (OP_FAIL, first),
+            (OP_REVIVE, first),
+        ]
+        mirror = DeltaSnapshot.from_snapshot(base)
+        mirror.apply(SnapshotDelta(ops=ops))
+        snapshot = mirror.snapshot()
+        assert snapshot.alive[0] and not snapshot.alive[1]
+        reference = self._one_at_a_time(DeltaSnapshot.from_snapshot(base), ops)
+        assert_snapshots_identical(snapshot, reference)
+
+    def test_node_runs_keep_order_with_link_flips_and_rebuild(self):
+        from repro.baselines import ChordNetwork
+        from repro.fastpath.delta import (
+            OP_FAIL,
+            OP_LINK_FAIL,
+            OP_REBUILD,
+            OP_REVIVE,
+        )
+
+        overlay = ChordNetwork(bits=5)
+        members = overlay.members
+        holder, late_holder = members[0], members[7]
+        target = overlay.neighbors_of(holder)[0]
+        late_target = overlay.neighbors_of(late_holder)[0]
+        ops = [
+            (OP_FAIL, members[3]),
+            (OP_LINK_FAIL, holder, target),
+            (OP_FAIL, members[4]),
+            (OP_REVIVE, members[3]),
+            (OP_REBUILD,),
+            (OP_FAIL, members[5]),
+            (OP_LINK_FAIL, late_holder, late_target),
+            (OP_FAIL, members[6]),
+            (OP_REVIVE, members[5]),
+        ]
+        mirror = DeltaSnapshot.from_overlay(overlay)
+        mirror.apply(SnapshotDelta(ops=ops))
+        snapshot = mirror.snapshot()
+        index = {label: position for position, label in enumerate(snapshot.labels.tolist())}
+        # The rebuild recompiles the untouched overlay: earlier flips vanish.
+        assert snapshot.alive[index[members[4]]]
+        assert snapshot.alive[index[members[5]]]
+        assert not snapshot.alive[index[members[6]]]
+        assert snapshot.edge_alive is not None
+        assert int((~snapshot.edge_alive).sum()) >= 1
+        reference = self._one_at_a_time(DeltaSnapshot.from_overlay(overlay), ops)
+        assert_snapshots_identical(snapshot, reference)
+
+    def test_unknown_label_raises_key_error(self):
+        from repro.baselines import ChordNetwork
+        from repro.fastpath.delta import OP_FAIL
+
+        overlay = ChordNetwork(bits=5)
+        mirror = DeltaSnapshot.from_overlay(overlay)
+        ops = [(OP_FAIL, overlay.members[0]), (OP_FAIL, 999)]
+        with pytest.raises(KeyError, match="999"):
+            mirror.apply(SnapshotDelta(ops=ops))
 
 
 class TestSlabFlags:
