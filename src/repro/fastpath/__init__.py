@@ -32,10 +32,10 @@ spaces the snapshot compiler does not support: compiling one raises
 :class:`NotImplementedError` rather than silently routing elsewhere.
 
 The standard experimental network can additionally be built straight into a
-snapshot — :func:`build_snapshot` samples every node's long links in one
-batched draw and assembles the CSR arrays without materialising any
-``OverlayGraph``/``OverlayNode`` objects, bit-identical to the object build
-at a fixed seed.
+snapshot — :func:`build_snapshot` samples every node's long links in
+batched row blocks of one stream and assembles the CSR arrays without
+materialising any ``OverlayGraph``/``OverlayNode`` objects, bit-identical to
+the object build at a fixed seed.
 
 Quickstart
 ----------

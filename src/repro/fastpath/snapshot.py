@@ -181,30 +181,53 @@ class FastpathSnapshot:
 
         ``dense`` is the ``int32[num_nodes, max_degree]`` adjacency padded
         with ``-1``; ``valid`` marks real (non-pad) entries; and
-        ``neighbor_labels`` holds each neighbour's metric-space label (0 in
-        pad slots).  The batch router gathers whole rows of these per hop, so
-        they are precomputed once per topology rather than re-derived per
-        step.  All three are pure functions of the immutable CSR arrays and
-        are shared between liveness variants via :meth:`with_alive`.
+        ``neighbor_labels`` holds each neighbour's metric-space label (the
+        label of vertex 0 in pad slots).  The batch router gathers whole rows
+        of these per hop, so they are precomputed once per topology rather
+        than re-derived per step.  All three are pure functions of the
+        immutable CSR arrays and are shared between liveness variants via
+        :meth:`with_alive`.
+
+        Padding is a mask scatter (:meth:`_pad_rows`): ``valid`` is
+        ``arange(max_degree) < degree`` per row, and its ``True`` slots taken
+        in row-major order are exactly the CSR entries in ``indptr`` order,
+        so ``dense[valid] = neighbor_indices`` puts every entry at its
+        (row, position-within-row) slot without materialising any index
+        arrays.
         """
         cached = self._dense_cache.get("matrices")
         if cached is not None:
             return cached
-        degrees = self.degrees()
-        max_degree = int(degrees.max()) if degrees.size else 0
-        max_degree = max(max_degree, 1)
-        dense = np.full((self.num_nodes, max_degree), -1, dtype=np.int32)
-        # Scatter each CSR entry to (row, position-within-row).
-        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degrees)
-        offsets = np.arange(
-            self.neighbor_indices.shape[0], dtype=np.int64
-        ) - np.repeat(self.neighbor_indptr[:-1], degrees)
-        dense[rows, offsets] = self.neighbor_indices
-        valid = dense >= 0
-        neighbor_labels = self.labels_compact()[np.where(valid, dense, 0)]
+        valid = self._slot_mask()
+        dense = self._pad_rows(valid, self.neighbor_indices, -1, np.int32)
+        labels = self.labels_compact()
+        neighbor_labels = self._pad_rows(
+            valid,
+            labels[self.neighbor_indices],
+            int(labels[0]) if labels.size else 0,
+            labels.dtype,
+        )
         matrices = (dense, valid, neighbor_labels)
         self._dense_cache["matrices"] = matrices
         return matrices
+
+    def _slot_mask(self) -> np.ndarray:
+        """``bool[num_nodes, max_degree]``: which padded slots hold an entry."""
+        degrees = self.degrees()
+        max_degree = max(int(degrees.max()) if degrees.size else 0, 1)
+        return np.arange(max_degree, dtype=np.int64) < degrees[:, None]
+
+    @staticmethod
+    def _pad_rows(
+        valid: np.ndarray, values: np.ndarray, fill: int, dtype: np.dtype | type
+    ) -> np.ndarray:
+        """Scatter CSR-aligned ``values`` into a ``fill``-padded matrix.
+
+        ``valid`` is :meth:`_slot_mask`; the one place CSR rows are padded.
+        """
+        padded = np.full(valid.shape, fill, dtype=dtype)
+        padded[valid] = values
+        return padded
 
     def greedy_policy(self) -> GreedyPolicy:
         """The next-hop rule this snapshot routes under.
@@ -232,14 +255,7 @@ class FastpathSnapshot:
             return None
         cached = self._dense_cache.get("class_matrix")
         if cached is None:
-            degrees = self.degrees()
-            max_degree = max(int(degrees.max()) if degrees.size else 0, 1)
-            cached = np.zeros((self.num_nodes, max_degree), dtype=np.int8)
-            rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degrees)
-            offsets = np.arange(
-                self.neighbor_indices.shape[0], dtype=np.int64
-            ) - np.repeat(self.neighbor_indptr[:-1], degrees)
-            cached[rows, offsets] = self.edge_class
+            cached = self._pad_rows(self._slot_mask(), self.edge_class, 0, np.int8)
             self._dense_cache["class_matrix"] = cached
         return cached
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,35 @@ class TestInversePowerLawProperties:
         samples = distribution.sample_neighbors(source, count, rng)
         assert len(samples) == count
         assert all(0 <= s < n and s != source for s in samples)
+
+
+class TestGuideTableLookup:
+    """The guide-table inverse CDF equals a full ``searchsorted`` exactly."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 4096, 3001])
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, 2.0])
+    def test_bucket_edges(self, n, exponent):
+        distribution = InversePowerLawDistribution(n, exponent=exponent)
+        cdf = distribution._offset_cdf()
+        buckets = distribution._guide_table().size - 1
+        assert buckets >= n and buckets & (buckets - 1) == 0
+        edges = np.arange(buckets) / buckets
+        below = np.nextafter(np.arange(1, buckets + 1) / buckets, 0.0)
+        for keys in (edges, below):
+            expected = np.searchsorted(cdf, keys, side="right")
+            assert np.array_equal(distribution.inverse_cdf(keys), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 5, 4096, 3001]),
+        exponent=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_random_uniforms(self, n, exponent, seed):
+        distribution = InversePowerLawDistribution(n, exponent=exponent)
+        uniforms = np.random.default_rng(seed).random((64, 9))
+        expected = np.searchsorted(distribution._offset_cdf(), uniforms, side="right")
+        assert np.array_equal(distribution.inverse_cdf(uniforms), expected)
 
 
 class TestUniformProperties:

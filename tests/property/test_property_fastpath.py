@@ -21,6 +21,7 @@ from repro.core.builder import build_ideal_network
 from repro.core.failures import NodeFailureModel
 from repro.core.routing import GreedyRouter, RecoveryStrategy, RoutingMode
 from repro.fastpath import BatchGreedyRouter, build_snapshot, compile_snapshot
+from repro.fastpath.builder import BLOCK_ROWS
 from repro.simulation.workload import LookupWorkload
 
 
@@ -207,3 +208,15 @@ class TestDirectBuildEquivalence:
         direct = build_snapshot(n, links_per_node=3, seed=seed, exponent=exponent)
         assert np.array_equal(compiled.neighbor_indptr, direct.neighbor_indptr)
         assert np.array_equal(compiled.neighbor_indices, direct.neighbor_indices)
+
+    def test_direct_build_across_a_row_block_boundary(self):
+        """Row blocks of the draw stitch together like one draw."""
+        n = BLOCK_ROWS + 5
+        graph = build_ideal_network(n, links_per_node=2, seed=4).graph
+        for symmetric in (True, False):
+            compiled = compile_snapshot(graph, symmetric_neighbors=symmetric)
+            direct = build_snapshot(
+                n, links_per_node=2, seed=4, symmetric_neighbors=symmetric
+            )
+            assert np.array_equal(compiled.neighbor_indptr, direct.neighbor_indptr)
+            assert np.array_equal(compiled.neighbor_indices, direct.neighbor_indices)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,55 @@ class TestBuildSnapshot:
         direct = build_snapshot(256, seed=6)
         derived = apply_node_failures(direct, 0.3, seed=9)
         assert derived.alive_count() == 256 - round(0.3 * 256)
+
+    @pytest.mark.parametrize("links", [0, -1])
+    def test_rejects_non_positive_links_per_node(self, links):
+        # The object builder rejects these too; neither path builds a bare ring.
+        with pytest.raises(ValueError, match="links_per_node"):
+            build_snapshot(64, links_per_node=links)
+        with pytest.raises(ValueError, match="links_per_node"):
+            build_ideal_network(64, links_per_node=links)
+
+
+def _peak_traced_bytes(function):
+    """Run ``function`` under ``tracemalloc``; return ``(result, peak bytes)``.
+
+    NumPy reports its data buffers to ``tracemalloc``, so the peak covers
+    every array the call allocates, scratch included.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = function()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBoundedMemory:
+    """Building and padding a large snapshot stays within a few copies of it."""
+
+    def test_build_peak_within_five_snapshots(self):
+        snapshot, peak = _peak_traced_bytes(
+            lambda: build_snapshot(2**18, symmetric_neighbors=False)
+        )
+        snapshot_bytes = sum(
+            array.nbytes
+            for array in (
+                snapshot.labels,
+                snapshot.alive,
+                snapshot.neighbor_indptr,
+                snapshot.neighbor_indices,
+            )
+        )
+        assert peak <= 5 * snapshot_bytes, peak / snapshot_bytes
+
+    def test_routing_matrices_peak_within_twice_their_size(self):
+        snapshot = build_snapshot(2**16, seed=3, symmetric_neighbors=False)
+        matrices, peak = _peak_traced_bytes(snapshot.routing_matrices)
+        matrix_bytes = sum(matrix.nbytes for matrix in matrices)
+        assert peak <= 2 * matrix_bytes, peak / matrix_bytes
 
 
 class TestBatchGreedyRouter:
